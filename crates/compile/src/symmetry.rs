@@ -32,6 +32,7 @@
 
 use crate::task::{ActionKind, GVarData, GroundAction, PlanningTask, PropData};
 use sekitei_model::{Cond, Effect, Expr, GVarId, Interval, LinkId, NodeId, PropId};
+use sekitei_util::Fnv1a;
 use std::collections::HashMap;
 
 /// Node equivalence classes of a compiled task. Default = no nodes, every
@@ -84,29 +85,6 @@ impl NodeOrbits {
     /// Iterate the orbits (each sorted ascending).
     pub fn orbits(&self) -> impl Iterator<Item = &[NodeId]> + '_ {
         self.members.iter().map(|m| m.as_slice())
-    }
-}
-
-/// FNV-1a 64-bit running hash for structural action fingerprints.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf29ce484222325)
-    }
-    fn u8(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x100000001b3);
-    }
-    fn u32(&mut self, x: u32) {
-        for b in x.to_le_bytes() {
-            self.u8(b);
-        }
-    }
-    fn u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.u8(b);
-        }
     }
 }
 
@@ -211,7 +189,7 @@ impl<'t> Swap<'t> {
         })
     }
 
-    fn hash_expr(&self, e: &Expr<GVarId>, h: &mut Fnv) -> Option<()> {
+    fn hash_expr(&self, e: &Expr<GVarId>, h: &mut Fnv1a) -> Option<()> {
         match e {
             Expr::Const(c) => {
                 h.u8(0);
@@ -265,7 +243,7 @@ impl<'t> Swap<'t> {
     /// their order (compilation emits them in schema order, which is
     /// identical across symmetric groundings).
     fn action_hash(&self, act: &GroundAction) -> Option<u64> {
-        let mut h = Fnv::new();
+        let mut h = Fnv1a::new();
         match self.kind(&act.kind)? {
             ActionKind::Place { comp, node } => {
                 h.u8(0);
@@ -328,7 +306,7 @@ impl<'t> Swap<'t> {
             h.u8(l);
         }
         h.u64(act.cost.to_bits());
-        Some(h.0)
+        Some(h.finish())
     }
 
     /// Exact structural equality of `a`'s image with `b` (collision guard
@@ -472,13 +450,13 @@ fn signature_groups(task: &PlanningTask, num_nodes: usize, links: &LinkTable) ->
         .into_iter()
         .map(|(l, mut v)| {
             v.sort_unstable();
-            let mut h = Fnv::new();
+            let mut h = Fnv1a::new();
             for (r, lo, hi) in v {
                 h.u32(r as u32);
                 h.u64(lo);
                 h.u64(hi);
             }
-            (l, h.0)
+            (l, h.finish())
         })
         .collect();
 
@@ -520,7 +498,7 @@ fn signature_groups(task: &PlanningTask, num_nodes: usize, links: &LinkTable) ->
         if pinned[n] {
             continue; // sources/clients/pre-placed hosts stay singleton
         }
-        let mut h = Fnv::new();
+        let mut h = Fnv1a::new();
         for &(r, lo, hi) in &node_res[n] {
             h.u32(r as u32);
             h.u64(lo);
@@ -535,7 +513,7 @@ fn signature_groups(task: &PlanningTask, num_nodes: usize, links: &LinkTable) ->
         h.u32(p);
         h.u32(o);
         h.u32(i);
-        let g = *group_of_sig.entry(h.0).or_insert_with(|| {
+        let g = *group_of_sig.entry(h.finish()).or_insert_with(|| {
             groups.push(Vec::new());
             groups.len() - 1
         });

@@ -239,14 +239,10 @@ impl PlanningTask {
     /// task caches and cross-process sanity checks that doesn't require
     /// hashing the whole struct.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
+        let mut h = sekitei_util::Fnv1a::new();
         let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-            h ^= 0xff; // separator so field boundaries can't alias
-            h = h.wrapping_mul(0x100000001b3);
+            h.bytes(bytes);
+            h.u8(0xff); // separator so field boundaries can't alias
         };
         for n in &self.prop_names {
             eat(n.as_bytes());
@@ -273,7 +269,7 @@ impl PlanningTask {
         for p in &self.goal_props {
             eat(&(p.index() as u64).to_le_bytes());
         }
-        h
+        h.finish()
     }
 
     /// Number of ground propositions.

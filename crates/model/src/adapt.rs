@@ -28,10 +28,9 @@ use crate::ids::NodeId;
 use crate::problem::{CppProblem, StreamSource};
 use crate::resource::{Elasticity, ResourceDef};
 use crate::SpecVar;
-use serde::{Deserialize, Serialize};
 
 /// A component instance currently running in the environment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExistingPlacement {
     /// Component name.
     pub component: String,
@@ -40,7 +39,7 @@ pub struct ExistingPlacement {
 }
 
 /// The state of an existing deployment.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExistingDeployment {
     /// Running component instances.
     pub placements: Vec<ExistingPlacement>,
@@ -59,7 +58,7 @@ impl ExistingDeployment {
 }
 
 /// Cost model for adaptation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptConfig {
     /// Cost of keeping a component on its current node (re-binding its
     /// streams is cheap but not free).

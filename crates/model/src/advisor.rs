@@ -19,10 +19,9 @@ use crate::expr::{CmpOp, Expr};
 use crate::interval::EPS;
 use crate::levels::LevelSpec;
 use crate::problem::CppProblem;
-use serde::{Deserialize, Serialize};
 
 /// A suggested level specification for one interface property.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LevelSuggestion {
     /// Interface name.
     pub iface: String,

@@ -9,7 +9,6 @@
 
 use crate::expr::{Cond, Effect, Expr};
 use crate::levels::LevelSpec;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -18,7 +17,7 @@ use std::fmt;
 /// Scope rules: `Iface` variables must name an interface the component
 /// requires or implements (for component formulas) or the interface itself
 /// (for cross formulas); `Node`/`Link` variables name catalog resources.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SpecVar {
     /// `<iface>.<prop>`, e.g. `T.ibw`.
     Iface {
@@ -74,7 +73,7 @@ pub type SCond = Cond<SpecVar>;
 pub type SEffect = Effect<SpecVar>;
 
 /// An interface (stream) type specification — paper Figure 6.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InterfaceSpec {
     /// Unique interface name (`M`, `T`, ...).
     pub name: String,
@@ -144,7 +143,7 @@ impl InterfaceSpec {
 }
 
 /// Placement restriction for a component.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum Placement {
     /// May be placed on any node (subject to resource conditions).
     #[default]
@@ -154,7 +153,7 @@ pub enum Placement {
 }
 
 /// A component type specification — paper Figure 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComponentSpec {
     /// Unique component name (`Merger`, ...).
     pub name: String,

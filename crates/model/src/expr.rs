@@ -10,13 +10,12 @@
 //! excludes a reachable value, so an empty result proves infeasibility.
 
 use crate::interval::{Interval, EPS};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Monotonicity of an expression in one variable, assuming all variables
 /// range over `[0, +inf)`. Used to justify the greedy max-utilization
 /// strategy (paper §2.2) and to tighten concretization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mono {
     /// Value does not depend on the variable.
     Constant,
@@ -49,7 +48,7 @@ impl Mono {
 }
 
 /// An arithmetic expression over variables of type `V`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr<V> {
     /// A literal constant.
     Const(f64),
@@ -261,7 +260,7 @@ impl<V> Expr<V> {
 }
 
 /// Comparison operators for conditions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
     /// `<=`
     Le,
@@ -289,7 +288,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// A boolean condition `lhs op rhs`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cond<V> {
     /// Left-hand expression.
     pub lhs: Expr<V>,
@@ -372,7 +371,7 @@ impl<V: fmt::Display> fmt::Display for Cond<V> {
 }
 
 /// Assignment flavour of an effect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AssignOp {
     /// `target := value`
     Set,
@@ -394,7 +393,7 @@ impl fmt::Display for AssignOp {
 }
 
 /// An effect `target (:=|-=|+=) value`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Effect<V> {
     /// The variable being written.
     pub target: V,

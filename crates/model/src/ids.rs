@@ -5,16 +5,12 @@
 //! keeps hot planner structs compact (see the type-size guidance in the
 //! perf notes); conversion to `usize` happens only at indexing sites.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$meta:meta])* $name:ident, $repr:ty, $prefix:expr) => {
         $(#[$meta])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
-        #[serde(transparent)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub $repr);
 
         impl $name {
@@ -86,7 +82,7 @@ id_type!(
 pub type LevelIdx = u8;
 
 /// A directed traversal of an undirected link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DirLink {
     /// The underlying undirected link.
     pub link: LinkId,

@@ -12,7 +12,6 @@
 //! "optimistic" maps), never soundness: plans are re-validated by concrete
 //! execution before being returned.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Comparison slack for emptiness / containment checks. Resource formulas
@@ -21,7 +20,7 @@ use std::fmt;
 pub const EPS: f64 = 1e-9;
 
 /// A closed interval of reals, possibly unbounded above.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interval {
     /// Inclusive lower bound.
     pub lo: f64,

@@ -8,7 +8,6 @@
 //! non-reversible resource functions.
 
 use crate::interval::{Interval, EPS};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Shave applied to finite upper bounds when a level interval is used as a
@@ -19,7 +18,7 @@ use std::fmt;
 pub const LEVEL_SHAVE: f64 = 1e-6;
 
 /// A partition of `[0, ∞)` into consecutive half-open intervals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LevelSpec {
     cutpoints: Vec<f64>,
 }

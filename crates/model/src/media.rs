@@ -14,10 +14,9 @@ use crate::component::{ComponentSpec, InterfaceSpec, SEffect, SpecVar};
 use crate::expr::{AssignOp, CmpOp, Cond, Effect, Expr};
 use crate::levels::LevelSpec;
 use crate::resource::{names, ResourceDef};
-use serde::{Deserialize, Serialize};
 
 /// The five level configurations of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LevelScenario {
     /// No levels — the original greedy Sekitei.
     A,
@@ -67,7 +66,7 @@ impl LevelScenario {
 }
 
 /// Tunable constants of the media domain.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MediaConfig {
     /// Client's minimum required `M.ibw` (paper: 90).
     pub client_demand: f64,
@@ -105,7 +104,7 @@ impl Default for MediaConfig {
 }
 
 /// The domain part of a CPP instance (everything but network/state/goals).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MediaDomain {
     /// Resource catalog (cpu, lbw) with scenario-dependent link levels.
     pub resources: Vec<ResourceDef>,
@@ -237,7 +236,7 @@ pub fn media_domain_with(cfg: MediaConfig, scenario: LevelScenario) -> MediaDoma
 }
 
 /// Latency model parameters for [`add_latency`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyConfig {
     /// Processing delay added by every transforming component.
     pub proc_delay: f64,

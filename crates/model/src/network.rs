@@ -6,12 +6,11 @@
 //! regardless of orientation.
 
 use crate::ids::{DirLink, LinkId, NodeId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Coarse link classification used by scenario definitions and the
 /// "reserved LAN bandwidth" metric of Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LinkClass {
     /// Local-area link (150 units in the paper's experiment).
     Lan,
@@ -23,7 +22,7 @@ pub enum LinkClass {
 }
 
 /// A network node with named resource capacities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeData {
     /// Human-readable name (unique within the network).
     pub name: String,
@@ -32,7 +31,7 @@ pub struct NodeData {
 }
 
 /// An undirected network link with named resource capacities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkData {
     /// One endpoint.
     pub a: NodeId,
@@ -45,12 +44,11 @@ pub struct LinkData {
 }
 
 /// An undirected network graph with resource-annotated nodes and links.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Network {
     nodes: Vec<NodeData>,
     links: Vec<LinkData>,
     /// adjacency[n] = links incident to node n
-    #[serde(skip)]
     adjacency: Vec<Vec<LinkId>>,
 }
 

@@ -6,14 +6,13 @@ use crate::ids::{CompId, IfaceId, NodeId};
 use crate::interval::Interval;
 use crate::network::Network;
 use crate::resource::{Locus, ResourceDef};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::collections::HashSet;
 
 /// A stream made available by the environment (e.g. the media server's M
 /// stream): the interface exists on `node` with each property available in
 /// a given range (`ibw ∈ [0, 200]` for "can produce up to 200 units").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamSource {
     /// Interface name.
     pub iface: String,
@@ -36,7 +35,7 @@ impl StreamSource {
 
 /// A component pre-placed by the environment (counts as already deployed;
 /// consumes no plan actions and no resources).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrePlacement {
     /// Component name.
     pub component: String,
@@ -45,7 +44,7 @@ pub struct PrePlacement {
 }
 
 /// A deployment goal: the named component must end up placed on the node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Goal {
     /// Component name.
     pub component: String,
@@ -54,7 +53,7 @@ pub struct Goal {
 }
 
 /// A full CPP instance: network + domain + initial state + goals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CppProblem {
     /// The network topology and resource capacities.
     pub network: Network,

@@ -7,11 +7,10 @@
 //! degradable/upgradable tags that guide the planner's search (§3.1).
 
 use crate::levels::LevelSpec;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Where a resource lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Locus {
     /// Attached to a network node (e.g. `cpu`).
     Node,
@@ -41,7 +40,7 @@ impl fmt::Display for Locus {
 /// `Upgradable` and `Rigid` currently coincide for them. Interface
 /// *streams* honor their own `degradable` flag through effect-side level
 /// closure (see `sekitei-compile`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Elasticity {
     /// Higher availability covers lower requirements.
     #[default]
@@ -53,7 +52,7 @@ pub enum Elasticity {
 }
 
 /// A resource definition in the problem catalog.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceDef {
     /// Catalog name, referenced from formulas (`node.cpu`, `link.lbw`).
     pub name: String,

@@ -254,10 +254,10 @@ impl IvStore for DenseStore {
 /// way the accept/prune outcome is identical to
 /// `replay_tail(task, &child_tail, None).is_err()`.
 pub struct ReplayScratch {
-    /// The task's touched-variable index, shared (it is immutable after
-    /// construction) so the parallel search's per-worker scratches pay for
-    /// it once.
-    index: std::sync::Arc<ReplayIndex>,
+    /// Per-action touched-variable lists in CSR form:
+    /// `var_off[a]..var_off[a+1]` bounds action `a`'s slice of `var_flat`.
+    var_flat: Vec<GVarId>,
+    var_off: Vec<u32>,
     store: DenseStore,
     /// `tail_stamp[v] == tail_epoch` ⇔ `v` is touched by the current
     /// expansion's parent tail.
@@ -267,17 +267,7 @@ pub struct ReplayScratch {
     vals: Vec<Interval>,
 }
 
-/// The immutable per-task half of [`ReplayScratch`]: per-action
-/// touched-variable lists in CSR form (`var_off[a]..var_off[a+1]` bounds
-/// action `a`'s slice of `var_flat`). Build once, share via `Arc` across
-/// however many per-worker scratches a parallel search spins up.
-pub struct ReplayIndex {
-    var_flat: Vec<GVarId>,
-    var_off: Vec<u32>,
-    num_vars: usize,
-}
-
-impl ReplayIndex {
+impl ReplayScratch {
     /// Precompute the touched-variable index for a task.
     pub fn new(task: &PlanningTask) -> Self {
         let mut var_flat = Vec::new();
@@ -303,25 +293,10 @@ impl ReplayIndex {
             var_flat.extend_from_slice(&buf);
             var_off.push(var_flat.len() as u32);
         }
-        ReplayIndex { var_flat, var_off, num_vars: task.gvars.len() }
-    }
-}
-
-impl ReplayScratch {
-    /// Precompute the touched-variable index for a task and wrap it in a
-    /// private scratch.
-    pub fn new(task: &PlanningTask) -> Self {
-        Self::with_index(std::sync::Arc::new(ReplayIndex::new(task)))
-    }
-
-    /// A scratch over an existing shared index. The mutable state
-    /// (interval store, tail stamps) is private to this scratch; rollback
-    /// between expansions is an O(1) epoch bump, so per-worker scratches
-    /// checkpoint and discard replay state without any copying.
-    pub fn with_index(index: std::sync::Arc<ReplayIndex>) -> Self {
-        let num_vars = index.num_vars;
+        let num_vars = task.gvars.len();
         ReplayScratch {
-            index,
+            var_flat,
+            var_off,
             store: DenseStore::new(num_vars),
             tail_stamp: vec![0; num_vars],
             tail_epoch: 0,
@@ -330,7 +305,7 @@ impl ReplayScratch {
     }
 
     fn var_range(&self, a: ActionId) -> std::ops::Range<usize> {
-        self.index.var_off[a.index()] as usize..self.index.var_off[a.index() + 1] as usize
+        self.var_off[a.index()] as usize..self.var_off[a.index() + 1] as usize
     }
 
     /// Mark the variables touched by the parent tail of the node about to
@@ -343,7 +318,7 @@ impl ReplayScratch {
         }
         for &aid in parent_tail {
             for i in self.var_range(aid) {
-                let v = self.index.var_flat[i];
+                let v = self.var_flat[i];
                 self.tail_stamp[v.index()] = self.tail_epoch;
             }
         }
@@ -362,9 +337,8 @@ impl ReplayScratch {
         if step_action(task.action(a), 0, &mut self.store, false, &mut self.vals).is_err() {
             return true;
         }
-        let disjoint = self
-            .var_range(a)
-            .all(|i| self.tail_stamp[self.index.var_flat[i].index()] != self.tail_epoch);
+        let disjoint =
+            self.var_range(a).all(|i| self.tail_stamp[self.var_flat[i].index()] != self.tail_epoch);
         if disjoint {
             return false;
         }

@@ -14,6 +14,7 @@ use sekitei_model::{
     LevelSpec, LinkClass, Network, NodeId, Placement, PrePlacement, ResourceDef, SpecVar,
     StreamSource,
 };
+use sekitei_util::fnv1a;
 
 const MAGIC: &[u8; 4] = b"SKT1";
 
@@ -646,17 +647,6 @@ pub struct WireSnapshotRecord {
     pub rg_nodes: u64,
     /// Encoded `SKO1` outcome bytes.
     pub payload: Vec<u8>,
-}
-
-/// FNV-1a over a byte slice; the per-record checksum primitive. Kept
-/// private — callers only see it through encode/decode.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Encode a snapshot file header binding the file to one server build:
