@@ -90,11 +90,41 @@ fn figure1_all_scenarios_keep_reference_costs() {
 fn large_solved_scenarios_keep_reference_costs() {
     // Large/A is excluded: the reference burns its full 2M-node budget
     // there (minutes in the boxed implementation); its pruned-search
-    // behavior is pinned by `thread_equivalence` and the bench trajectory
+    // behavior is pinned by `large_a_pruned_counters_are_pinned` below
     for sc in [LevelScenario::B, LevelScenario::C, LevelScenario::D, LevelScenario::E] {
         let task = compile(&scenarios::large(sc)).unwrap();
         assert_cost_preserved(&task, &format!("large/{sc:?}"));
     }
+}
+
+#[test]
+fn large_a_pruned_counters_are_pinned() {
+    // Large/A is the one grid instance where drain mode and symmetry
+    // pruning do real work: the default (fully pruned, sequential)
+    // planner exhausts its candidate-reject budget without a plan. Every
+    // counter is deterministic, so any change to the pruning layer, the
+    // search order or the Large network shows up here.
+    let o = Planner::default().plan(&scenarios::large(LevelScenario::A)).unwrap();
+    assert!(o.plan.is_none(), "large/A has no plan");
+    let s = &o.stats;
+    assert!(s.budget_exhausted && s.drain_mode && !s.deadline_hit);
+    let counters = [
+        s.total_actions,
+        s.plrg_props,
+        s.plrg_actions,
+        s.slrg_nodes,
+        s.rg_nodes,
+        s.rg_open_left,
+        s.replay_prunes,
+        s.dominance_pruned,
+        s.symmetry_pruned,
+        s.reopened,
+        s.candidate_rejects,
+    ];
+    assert_eq!(
+        counters,
+        [1617, 373, 1525, 5_977_044, 242_541, 0, 19_884, 658_331, 181_526, 1240, 2003]
+    );
 }
 
 // ---- randomized: pruning never changes the facade's answer ----
