@@ -14,13 +14,8 @@ use crate::event::{ChurnEvent, Mutation};
 use sekitei_model::resource::names::{CPU, LBW};
 use sekitei_model::{LinkId, Network, NodeId};
 use sekitei_topology::scenarios::ChurnProfile;
+use sekitei_util::SplitMix64;
 use std::collections::BTreeSet;
-
-// Re-exported here (in addition to the crate root) because older callers
-// reached the generator's RNG as `churn::generator::SplitMix64`; the
-// implementation itself now lives in `sekitei-util` so the anytime SLS
-// lane draws from the same audited stream.
-pub use sekitei_util::SplitMix64;
 
 /// One decimal place: keeps generated traces short and hand-editable
 /// without affecting feasibility at scenario magnitudes.
@@ -137,18 +132,6 @@ mod tests {
     use crate::event::render_trace;
     use sekitei_model::LevelScenario;
     use sekitei_topology::scenarios::{self, NetSize};
-
-    #[test]
-    fn splitmix_reference_values() {
-        // reference sequence for seed 1234567 from the published algorithm;
-        // duplicated from sekitei-util so a drift in the re-export (e.g. a
-        // local reimplementation sneaking back in) fails here too
-        let mut r = SplitMix64::new(1234567);
-        assert_eq!(r.next_u64(), 6457827717110365317);
-        assert_eq!(r.next_u64(), 3203168211198807973);
-        let u = SplitMix64::new(42).unit();
-        assert!((0.0..1.0).contains(&u));
-    }
 
     #[test]
     fn generation_is_deterministic() {

@@ -10,7 +10,7 @@
 //! * [`event`] — timestamped network mutations (link degradation and
 //!   recovery, node crash and rejoin, CPU drift) with a hand-writable
 //!   textual trace format, applied to a mutable [`sekitei_model::Network`].
-//! * [`generator`] — a seeded ([`generator::SplitMix64`]) weighted event
+//! * [`generator`] — a seeded ([`sekitei_util::SplitMix64`]) weighted event
 //!   generator parameterized by the per-scenario
 //!   [`sekitei_topology::scenarios::ChurnProfile`].
 //! * [`engine`] — the monitor/repair loop: re-validate the deployment in
@@ -30,4 +30,4 @@ pub use engine::{
     Repair, RepairRoute,
 };
 pub use event::{apply, parse_trace, render_trace, ChurnEvent, Mutation, TraceError};
-pub use generator::{generate, SplitMix64};
+pub use generator::generate;

@@ -53,7 +53,7 @@ pub struct ScenarioItem {
 impl ScenarioItem {
     /// Build an item from a problem, encoding it once up front.
     pub fn new(label: impl Into<String>, problem: CppProblem) -> ScenarioItem {
-        let bytes = sekitei_spec::encode(&problem).to_vec();
+        let bytes = sekitei_spec::encode(&problem);
         ScenarioItem { label: label.into(), problem, bytes }
     }
 }

@@ -10,6 +10,7 @@
 use sekitei_spec::{
     decode_outcome, decode_phases, encode_outcome, encode_phases, SpecError, WireOutcome, WirePhase,
 };
+use sekitei_util::{Reader, Writer};
 use std::io::{self, Read, Write};
 
 /// Hard cap on a single frame: 16 MiB. Large/D problems encode under
@@ -137,13 +138,13 @@ const PLAN_FLAG_PROFILE: u8 = 1;
 pub fn encode_request(r: &Request) -> Vec<u8> {
     match r {
         Request::Plan { trace_id, profile, priority, problem } => {
-            let mut b = Vec::with_capacity(11 + problem.len());
-            b.push(REQ_PLAN);
-            b.extend_from_slice(&trace_id.to_be_bytes());
-            b.push(if *profile { PLAN_FLAG_PROFILE } else { 0 });
-            b.push(priority.as_u8());
-            b.extend_from_slice(problem);
-            b
+            let mut b = Writer::with_capacity(11 + problem.len());
+            b.u8(REQ_PLAN);
+            b.u64(*trace_id);
+            b.u8(if *profile { PLAN_FLAG_PROFILE } else { 0 });
+            b.u8(priority.as_u8());
+            b.raw(problem);
+            b.into_vec()
         }
         Request::Stats => vec![REQ_STATS],
         Request::Shutdown => vec![REQ_SHUTDOWN],
@@ -159,17 +160,14 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, SpecError> {
             if rest.len() < 11 {
                 return Err(SpecError::wire("truncated plan request header"));
             }
-            let trace_id = u64::from_be_bytes(rest[0..8].try_into().unwrap());
-            let flags = rest[8];
+            let mut r = Reader::new(rest);
+            let (trace_id, flags, priority) = (r.u64()?, r.u8()?, r.u8()?);
             if flags & !PLAN_FLAG_PROFILE != 0 {
                 return Err(SpecError::wire(format!("bad plan flags {flags:#x}")));
             }
-            let priority = Priority::from_u8(rest[9])
-                .ok_or_else(|| SpecError::wire(format!("bad plan priority {}", rest[9])))?;
-            let problem = rest[10..].to_vec();
-            if problem.is_empty() {
-                return Err(SpecError::wire("empty plan request"));
-            }
+            let priority = Priority::from_u8(priority)
+                .ok_or_else(|| SpecError::wire(format!("bad plan priority {priority}")))?;
+            let problem = r.rest().to_vec();
             Ok(Request::Plan {
                 trace_id,
                 profile: flags & PLAN_FLAG_PROFILE != 0,
@@ -419,20 +417,23 @@ const RESP_BYE: u8 = 4;
 const RESP_METRICS: u8 = 5;
 const RESP_FLIGHT: u8 = 6;
 
-fn put_str(b: &mut Vec<u8>, s: &str) {
-    b.extend_from_slice(&(s.len() as u32).to_be_bytes());
-    b.extend_from_slice(s.as_bytes());
+/// A tagged envelope carrying one length-prefixed string.
+fn str_envelope(tag: u8, s: &str) -> Vec<u8> {
+    let mut b = Writer::with_capacity(5 + s.len());
+    b.u8(tag);
+    b.str(s);
+    b.into_vec()
 }
 
+/// The string of a tagged envelope; the length prefix must cover exactly
+/// the rest of the payload.
 fn get_str(b: &[u8]) -> Result<String, SpecError> {
-    if b.len() < 4 {
-        return Err(SpecError::wire("truncated string"));
-    }
-    let len = u32::from_be_bytes([b[0], b[1], b[2], b[3]]) as usize;
-    if b.len() != 4 + len {
+    let mut r = Reader::new(b);
+    let len = r.u32().map_err(|_| SpecError::wire("truncated string"))? as usize;
+    if r.remaining() != len {
         return Err(SpecError::wire("bad string length"));
     }
-    String::from_utf8(b[4..].to_vec()).map_err(|_| SpecError::wire("invalid utf-8"))
+    String::from_utf8(r.rest().to_vec()).map_err(|_| SpecError::wire("invalid utf-8"))
 }
 
 /// Build the `RESP_OUTCOME` payload header (everything before the `SKO1`
@@ -445,14 +446,13 @@ pub(crate) fn outcome_header(
     trace_id: u64,
     phases: &[WirePhase],
 ) -> Vec<u8> {
-    let phase_blob = if phases.is_empty() { Vec::new() } else { encode_phases(phases).to_vec() };
-    let mut b = Vec::with_capacity(14 + phase_blob.len());
-    b.push(RESP_OUTCOME);
-    b.push(served_via.as_u8());
-    b.extend_from_slice(&trace_id.to_be_bytes());
-    b.extend_from_slice(&(phase_blob.len() as u32).to_be_bytes());
-    b.extend_from_slice(&phase_blob);
-    b
+    let phase_blob = if phases.is_empty() { Vec::new() } else { encode_phases(phases) };
+    let mut b = Writer::with_capacity(14 + phase_blob.len());
+    b.u8(RESP_OUTCOME);
+    b.u8(served_via.as_u8());
+    b.u64(trace_id);
+    b.bytes(&phase_blob);
+    b.into_vec()
 }
 
 /// Encode a response payload.
@@ -464,34 +464,18 @@ pub fn encode_response(r: &Response) -> Vec<u8> {
             b
         }
         Response::Stats(s) => {
-            let mut b = Vec::with_capacity(1 + StatsSnapshot::WIRE_WORDS * 8);
-            b.push(RESP_STATS);
+            let mut b = Writer::with_capacity(1 + StatsSnapshot::WIRE_WORDS * 8);
+            b.u8(RESP_STATS);
             for v in s.wire_words() {
-                b.extend_from_slice(&v.to_be_bytes());
+                b.u64(v);
             }
-            b
+            b.into_vec()
         }
-        Response::Rejected(msg) => {
-            let mut b = vec![RESP_REJECTED];
-            put_str(&mut b, msg);
-            b
-        }
-        Response::Error(msg) => {
-            let mut b = vec![RESP_ERROR];
-            put_str(&mut b, msg);
-            b
-        }
+        Response::Rejected(msg) => str_envelope(RESP_REJECTED, msg),
+        Response::Error(msg) => str_envelope(RESP_ERROR, msg),
         Response::Bye => vec![RESP_BYE],
-        Response::Metrics(text) => {
-            let mut b = vec![RESP_METRICS];
-            put_str(&mut b, text);
-            b
-        }
-        Response::FlightRecorder(text) => {
-            let mut b = vec![RESP_FLIGHT];
-            put_str(&mut b, text);
-            b
-        }
+        Response::Metrics(text) => str_envelope(RESP_METRICS, text),
+        Response::FlightRecorder(text) => str_envelope(RESP_FLIGHT, text),
     }
 }
 
@@ -502,21 +486,17 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, SpecError> {
             if rest.len() < 13 {
                 return Err(SpecError::wire("truncated outcome response"));
             }
-            let served_via = ServedVia::from_u8(rest[0])
-                .ok_or_else(|| SpecError::wire(format!("bad served-via byte {}", rest[0])))?;
-            let trace_id = u64::from_be_bytes(rest[1..9].try_into().unwrap());
-            let phase_len = u32::from_be_bytes(rest[9..13].try_into().unwrap()) as usize;
-            let rest = &rest[13..];
-            if rest.len() < phase_len {
-                return Err(SpecError::wire("truncated phase table"));
-            }
-            let phases =
-                if phase_len == 0 { Vec::new() } else { decode_phases(&rest[..phase_len])? };
+            let mut r = Reader::new(rest);
+            let (via, trace_id, phase_len) = (r.u8()?, r.u64()?, r.u32()? as usize);
+            let served_via = ServedVia::from_u8(via)
+                .ok_or_else(|| SpecError::wire(format!("bad served-via byte {via}")))?;
+            let phases = r.take(phase_len).map_err(|_| SpecError::wire("truncated phase table"))?;
+            let phases = if phase_len == 0 { Vec::new() } else { decode_phases(phases)? };
             Ok(Response::Outcome {
                 served_via,
                 trace_id,
                 phases,
-                outcome: decode_outcome(&rest[phase_len..])?,
+                outcome: decode_outcome(r.rest())?,
             })
         }
         Some((&RESP_STATS, rest)) => {
@@ -527,9 +507,10 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, SpecError> {
                     StatsSnapshot::WIRE_WORDS * 8
                 )));
             }
+            let mut r = Reader::new(rest);
             let mut words = [0u64; StatsSnapshot::WIRE_WORDS];
-            for (i, w) in words.iter_mut().enumerate() {
-                *w = u64::from_be_bytes(rest[i * 8..i * 8 + 8].try_into().unwrap());
+            for w in &mut words {
+                *w = r.u64()?;
             }
             Ok(Response::Stats(StatsSnapshot::from_wire_words(&words)))
         }

@@ -773,7 +773,7 @@ fn compute_plan(
     }
     let sko = phases.timed("encode", || {
         let _g = sekitei_obs::span("encode");
-        encode_outcome(&wire).to_vec()
+        encode_outcome(&wire)
     });
     let class = OutcomeClass::of_outcome(&wire);
     // outcomes are deterministic unless the wall clock cut the search

@@ -58,6 +58,13 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
+impl From<sekitei_util::Truncated> for SpecError {
+    /// A wire read that ran past the end of its input.
+    fn from(_: sekitei_util::Truncated) -> Self {
+        SpecError::wire("unexpected end of input")
+    }
+}
+
 impl From<sekitei_model::ModelError> for SpecError {
     fn from(e: sekitei_model::ModelError) -> Self {
         SpecError::Model(e)

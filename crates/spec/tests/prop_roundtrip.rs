@@ -7,6 +7,7 @@ use sekitei_spec::{
     WireOutcome, WirePlan, WireStats, WireStep, WireStepKind,
 };
 use sekitei_topology::scenarios;
+use sekitei_util::SplitMix64;
 
 /// Random spec-level expressions over a small vocabulary.
 fn arb_sexpr() -> impl Strategy<Value = SExpr> {
@@ -104,61 +105,52 @@ proptest! {
     }
 }
 
-/// Deterministic pseudo-random outcome generator (SplitMix64 over a seed
-/// word) — enough variety to exercise every branch of the outcome codec.
-struct OutcomeRng(u64);
-
-impl OutcomeRng {
-    fn word(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    fn f(&mut self, hi: f64) -> f64 {
-        (self.word() % 1_000_000) as f64 * hi / 1e6
-    }
+/// A draw in `[0, hi)` on a grid of 10⁶ steps.
+fn frac(r: &mut SplitMix64, hi: f64) -> f64 {
+    (r.next_u64() % 1_000_000) as f64 * hi / 1e6
 }
 
+/// Deterministic pseudo-random outcome from a seed — enough variety to
+/// exercise every branch of the outcome codec.
 fn outcome_from_seed(seed: u64, with_plan: bool, nsteps: usize) -> WireOutcome {
-    let mut r = OutcomeRng(seed);
+    let mut r = SplitMix64::new(seed);
     let kinds = [WireStepKind::Place, WireStepKind::Cross, WireStepKind::Other];
     let plan = with_plan.then(|| WirePlan {
         steps: (0..nsteps)
             .map(|i| WireStep {
-                name: format!("step-{i}-{}", r.word() % 997),
-                kind: kinds[(r.word() % 3) as usize],
-                cost_lb: r.f(10.0),
+                name: format!("step-{i}-{}", r.next_u64() % 997),
+                kind: kinds[(r.next_u64() % 3) as usize],
+                cost_lb: frac(&mut r, 10.0),
             })
             .collect(),
-        cost_lower_bound: r.f(100.0),
-        degraded: r.word().is_multiple_of(2),
-        source_values: (0..r.word() % 4).map(|_| ((r.word() % 4096) as u32, r.f(200.0))).collect(),
+        cost_lower_bound: frac(&mut r, 100.0),
+        degraded: r.next_u64().is_multiple_of(2),
+        source_values: (0..r.next_u64() % 4)
+            .map(|_| ((r.next_u64() % 4096) as u32, frac(&mut r, 200.0)))
+            .collect(),
     });
-    let best_bound = (r.word().is_multiple_of(2)).then(|| r.f(50.0));
-    let optimality_gap = (r.word().is_multiple_of(2)).then(|| r.f(25.0));
-    let certificate = (r.word().is_multiple_of(2))
-        .then(|| (0..r.word() % 64).map(|_| (r.word() & 0xff) as u8).collect::<Vec<u8>>());
+    let best_bound = (r.next_u64().is_multiple_of(2)).then(|| frac(&mut r, 50.0));
+    let optimality_gap = (r.next_u64().is_multiple_of(2)).then(|| frac(&mut r, 25.0));
+    let certificate = (r.next_u64().is_multiple_of(2))
+        .then(|| (0..r.next_u64() % 64).map(|_| (r.next_u64() & 0xff) as u8).collect::<Vec<u8>>());
     WireOutcome {
         plan,
         best_bound,
         optimality_gap,
         certificate,
         stats: WireStats {
-            total_actions: r.word() % 100_000,
-            plrg_props: r.word() % 100_000,
-            plrg_actions: r.word() % 100_000,
-            slrg_nodes: r.word() % 100_000,
-            rg_nodes: r.word() % 100_000,
-            rg_open_left: r.word() % 100_000,
-            replay_prunes: r.word() % 100_000,
-            candidate_rejects: r.word() % 100_000,
-            total_time_us: r.word() % 10_000_000,
-            search_time_us: r.word() % 10_000_000,
-            budget_exhausted: r.word().is_multiple_of(2),
-            deadline_hit: r.word().is_multiple_of(2),
+            total_actions: r.next_u64() % 100_000,
+            plrg_props: r.next_u64() % 100_000,
+            plrg_actions: r.next_u64() % 100_000,
+            slrg_nodes: r.next_u64() % 100_000,
+            rg_nodes: r.next_u64() % 100_000,
+            rg_open_left: r.next_u64() % 100_000,
+            replay_prunes: r.next_u64() % 100_000,
+            candidate_rejects: r.next_u64() % 100_000,
+            total_time_us: r.next_u64() % 10_000_000,
+            search_time_us: r.next_u64() % 10_000_000,
+            budget_exhausted: r.next_u64().is_multiple_of(2),
+            deadline_hit: r.next_u64().is_multiple_of(2),
         },
     }
 }

@@ -9,9 +9,8 @@
 //! cover deterministic micro-topologies for tests.
 
 use crate::algo;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use sekitei_model::{LinkClass, Network, NodeId};
+use sekitei_util::Xoshiro256pp;
 
 /// Resource capacities applied uniformly by the generators.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,13 +82,13 @@ pub fn star(n: usize, class: LinkClass, caps: &Capacities) -> Network {
 /// A random spanning tree guarantees connectivity first.
 pub fn waxman(n: usize, alpha: f64, beta: f64, seed: u64, caps: &Capacities) -> Network {
     assert!(n >= 1);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Xoshiro256pp::new(seed);
     let mut net = Network::new();
-    let pos: Vec<(f64, f64)> = (0..n).map(|_| (rng.random::<f64>(), rng.random::<f64>())).collect();
+    let pos: Vec<(f64, f64)> = (0..n).map(|_| (rng.unit(), rng.unit())).collect();
     let nodes: Vec<_> = (0..n).map(|i| add_node(&mut net, format!("w{i}"), caps)).collect();
     // spanning tree: attach each node to a random earlier node
     for i in 1..n {
-        let j = rng.random_range(0..i);
+        let j = rng.below(i as u64) as usize;
         add_link(&mut net, nodes[i], nodes[j], LinkClass::Wan, caps);
     }
     // Waxman extra edges
@@ -100,7 +99,7 @@ pub fn waxman(n: usize, alpha: f64, beta: f64, seed: u64, caps: &Capacities) -> 
             }
             let d = ((pos[i].0 - pos[j].0).powi(2) + (pos[i].1 - pos[j].1).powi(2)).sqrt();
             let p = alpha * (-d / (beta * std::f64::consts::SQRT_2)).exp();
-            if rng.random::<f64>() < p {
+            if rng.unit() < p {
                 add_link(&mut net, nodes[i], nodes[j], LinkClass::Wan, caps);
             }
         }
@@ -114,7 +113,7 @@ pub fn waxman(n: usize, alpha: f64, beta: f64, seed: u64, caps: &Capacities) -> 
 /// internet maps — a rougher alternative to [`transit_stub`].
 pub fn barabasi_albert(n: usize, m: usize, seed: u64, caps: &Capacities) -> Network {
     assert!(n > m && m >= 1, "need n > m >= 1");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Xoshiro256pp::new(seed);
     let mut net = Network::new();
     let nodes: Vec<_> = (0..n).map(|i| add_node(&mut net, format!("b{i}"), caps)).collect();
     // degree-weighted endpoint pool (each edge contributes both endpoints)
@@ -131,7 +130,7 @@ pub fn barabasi_albert(n: usize, m: usize, seed: u64, caps: &Capacities) -> Netw
         let mut targets = Vec::with_capacity(m);
         let mut guard = 0;
         while targets.len() < m {
-            let pick = pool[rng.random_range(0..pool.len())];
+            let pick = pool[rng.below(pool.len() as u64) as usize];
             if !targets.contains(&pick) {
                 targets.push(pick);
             }
@@ -216,7 +215,7 @@ pub fn transit_stub(cfg: &TransitStubConfig) -> TransitStub {
     assert!(cfg.transit_nodes >= 1);
     assert!(cfg.stub_size >= 1);
     let caps = &cfg.capacities;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = Xoshiro256pp::new(cfg.seed);
     let mut net = Network::new();
 
     let transit: Vec<_> =
@@ -231,7 +230,7 @@ pub fn transit_stub(cfg: &TransitStubConfig) -> TransitStub {
         for i in 0..cfg.transit_nodes {
             for j in (i + 2)..cfg.transit_nodes {
                 if net.link_between(transit[i], transit[j]).is_none()
-                    && rng.random::<f64>() < cfg.transit_extra_edge_prob
+                    && rng.unit() < cfg.transit_extra_edge_prob
                 {
                     add_link(&mut net, transit[i], transit[j], LinkClass::Wan, caps);
                 }
@@ -250,14 +249,14 @@ pub fn transit_stub(cfg: &TransitStubConfig) -> TransitStub {
                 .collect();
             // random spanning tree rooted at the gateway (nodes[0])
             for i in 1..cfg.stub_size {
-                let j = rng.random_range(0..i);
+                let j = rng.below(i as u64) as usize;
                 add_link(&mut net, nodes[i], nodes[j], LinkClass::Lan, caps);
             }
             // extra LAN edges
             for i in 0..cfg.stub_size {
                 for j in (i + 1)..cfg.stub_size {
                     if net.link_between(nodes[i], nodes[j]).is_none()
-                        && rng.random::<f64>() < cfg.stub_extra_edge_prob
+                        && rng.unit() < cfg.stub_extra_edge_prob
                     {
                         add_link(&mut net, nodes[i], nodes[j], LinkClass::Lan, caps);
                     }
