@@ -13,7 +13,7 @@ const USAGE: &str = "usage:
   sekitei batch <spec-file>... [--threads N] [PLANNER FLAGS]
                [--validate] [--quiet] [--profile] [--trace-json FILE]
                [--emit-cert FILE]
-  sekitei serve [--addr HOST:PORT] [--workers N] [--shards N] [--queue-cap N]
+  sekitei serve [--addr HOST:PORT] [--workers N] [--queue-cap N]
                [--cache-cap N] [--cache-file FILE] [PLANNER FLAGS]
   sekitei request (<spec-file> | --stats | --metrics | --flight | --shutdown)
                [--addr HOST:PORT] [--profile] [--priority <high|normal|low>]
@@ -408,11 +408,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 i += 1;
                 let v = need(args.get(i), "--workers")?;
                 cfg.workers = v.parse().map_err(|_| format!("bad --workers value `{v}`"))?;
-            }
-            "--shards" => {
-                i += 1;
-                let v = need(args.get(i), "--shards")?;
-                cfg.shards = v.parse().map_err(|_| format!("bad --shards value `{v}`"))?;
             }
             "--cache-file" => {
                 i += 1;
@@ -1669,5 +1664,12 @@ mod tests {
                 .expect_err("the removed flag must be rejected");
             assert_eq!(err, "unknown flag `--search-threads`", "{cmd:?}");
         }
+    }
+
+    #[test]
+    fn removed_shards_flag_is_rejected() {
+        let err = dispatch(&s(&["serve", "--shards", "2"]))
+            .expect_err("the removed flag must be rejected");
+        assert_eq!(err, "unknown flag `--shards`");
     }
 }

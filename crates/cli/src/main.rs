@@ -1,23 +1,7 @@
 //! `sekitei` — command-line interface to the deployment planner.
 //!
-//! ```text
-//! sekitei plan <spec-file> [--plrg-heuristic] [--no-replay-pruning]
-//!              [--max-nodes N] [--deadline-ms N] [--degrade]
-//!              [--validate] [--quiet]
-//! sekitei serve [--addr HOST:PORT] [--workers N] [--queue-cap N]
-//!              [--cache-cap N] [--deadline-ms N] [--no-degrade]
-//! sekitei request (<spec-file> | --stats | --metrics | --flight | --shutdown)
-//!              [--addr HOST:PORT] [--profile]
-//! sekitei loadgen [--addr HOST:PORT] [--requests N] [--connections N]
-//!              [--seed N] [--rate R] [--verify-every N] [--bench-json FILE]
-//! sekitei verify-cert <spec-file> <cert-file>
-//! sekitei check <spec-file>
-//! sekitei compile <spec-file> [--dump]
-//! sekitei scenario <tiny|small|large> <A|B|C|D|E> [--emit] [--validate]
-//! sekitei tradeoff <link-cost-weight>
-//! sekitei encode <spec-file> <out.bin>
-//! sekitei decode <in.bin>
-//! ```
+//! Run `sekitei help` for the usage of every subcommand and flag; the
+//! text lives in `commands::USAGE`.
 
 mod commands;
 

@@ -30,8 +30,7 @@
 use sekitei_obs::{bucket_bounds, bucket_index};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Which of the six serving outcome classes a request landed in. One
 /// class per request; `Exact` includes proven-infeasible answers ("no
@@ -183,56 +182,41 @@ pub struct Exemplar {
     pub latency_us: u64,
 }
 
-/// Bounded ring of recent requests. `record` is O(1) under a mutex.
-/// Sequence numbers come from an [`Arc<AtomicU64>`] that per-shard
-/// recorders share (see [`FlightRecorder::new_sharing`]): each shard
-/// rings its own records without cross-shard locking, yet `seq` stays a
-/// single global order that [`merged_dump`] can sort on, so a merged
-/// dump satisfies the same ascending-seq invariant as a single ring.
+/// Bounded ring of recent requests. `record` is O(1) under a mutex, and
+/// assigns `seq` under the same lock, so the ring is always in `seq`
+/// order.
 #[derive(Debug)]
 pub struct FlightRecorder {
     inner: Mutex<Inner>,
-    seq: Arc<AtomicU64>,
     cap: usize,
 }
 
 #[derive(Debug)]
 struct Inner {
     ring: VecDeque<FlightRecord>,
-    evicted: u64,
+    /// Records ever appended; the newest record's `seq`.
+    recorded: u64,
 }
 
 impl FlightRecorder {
     /// A recorder keeping the most recent `cap` requests (cap 0 is
     /// clamped to 1: a recorder that can't record anything would turn
-    /// every dump invariant vacuous), with its own sequence counter.
+    /// every dump invariant vacuous).
     pub fn new(cap: usize) -> Self {
-        Self::new_sharing(cap, Arc::new(AtomicU64::new(1)))
-    }
-
-    /// A recorder drawing sequence numbers from a shared counter, so
-    /// several per-shard recorders produce one global record order.
-    pub fn new_sharing(cap: usize, seq: Arc<AtomicU64>) -> Self {
         FlightRecorder {
-            inner: Mutex::new(Inner { ring: VecDeque::new(), evicted: 0 }),
-            seq,
+            inner: Mutex::new(Inner { ring: VecDeque::new(), recorded: 0 }),
             cap: cap.max(1),
         }
-    }
-
-    /// The sequence counter, for cloning into sibling shard recorders.
-    pub fn seq_counter(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.seq)
     }
 
     /// Append one request record (the recorder assigns `seq`; the passed
     /// value is ignored). Evicts the oldest record when full.
     pub fn record(&self, mut rec: FlightRecord) {
-        rec.seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock().unwrap();
+        inner.recorded += 1;
+        rec.seq = inner.recorded;
         if inner.ring.len() == self.cap {
             inner.ring.pop_front();
-            inner.evicted += 1;
         }
         inner.ring.push_back(rec);
     }
@@ -247,44 +231,24 @@ impl FlightRecorder {
         self.len() == 0
     }
 
-    /// Snapshot the ring plus this recorder's eviction count.
-    fn snapshot(&self) -> (Vec<FlightRecord>, u64) {
-        let inner = self.inner.lock().unwrap();
-        (inner.ring.iter().copied().collect(), inner.evicted)
-    }
-
     /// Render the dump (see module docs): records oldest → newest, then
     /// exemplars ascending by bucket, then a footer with counts.
     pub fn dump(&self) -> String {
-        let (records, evicted) = self.snapshot();
-        render_dump(records, evicted)
+        let (records, evicted) = {
+            let inner = self.inner.lock().unwrap();
+            let records: Vec<FlightRecord> = inner.ring.iter().copied().collect();
+            (records, inner.recorded - inner.ring.len() as u64)
+        };
+        render_dump(&records, evicted)
     }
 }
 
-/// Merge several shard recorders into one dump: records from every ring
-/// interleaved by global sequence number, exemplars recomputed over the
-/// union, eviction counts summed. The shared `seq` counter makes the
-/// sort deterministic and the result indistinguishable from a single
-/// recorder that saw all the traffic.
-pub fn merged_dump(recorders: &[&FlightRecorder]) -> String {
-    let mut records = Vec::new();
-    let mut evicted = 0;
-    for fr in recorders {
-        let (recs, ev) = fr.snapshot();
-        records.extend(recs);
-        evicted += ev;
-    }
-    render_dump(records, evicted)
-}
-
-/// Shared renderer behind [`FlightRecorder::dump`] and [`merged_dump`].
-/// Sorts by `seq` (workers draw seqs before taking the ring lock, so even
-/// one ring can briefly hold a transposed pair) and derives per-bucket
-/// exemplars from the newest record in each occupied latency bucket.
-fn render_dump(mut records: Vec<FlightRecord>, evicted: u64) -> String {
-    records.sort_by_key(|r| r.seq);
+/// Renderer behind [`FlightRecorder::dump`], run outside the ring lock.
+/// Derives per-bucket exemplars from the newest record in each occupied
+/// latency bucket.
+fn render_dump(records: &[FlightRecord], evicted: u64) -> String {
     let mut out = String::from("# sekitei-flight v1\n");
-    for r in &records {
+    for r in records {
         out.push_str(&format!(
             "record seq={} trace={} fp={:016x} class={} tier={} queue_us={} rg_nodes={} \
              latency_us={}\n",
@@ -548,33 +512,6 @@ mod tests {
         // Unknown class.
         let badclass = good.replace("class=exact", "class=wat");
         assert!(parse_dump(&badclass).unwrap_err().contains("unknown class"));
-    }
-
-    #[test]
-    fn merged_dump_interleaves_shard_rings_by_seq() {
-        let a = FlightRecorder::new(4);
-        let b = FlightRecorder::new_sharing(4, a.seq_counter());
-        // alternate records across the two shard rings
-        a.record(rec(41, 40));
-        b.record(rec(42, 900));
-        a.record(rec(43, 41));
-        b.record(rec(44, 901));
-        let dump = parse_dump(&merged_dump(&[&a, &b])).unwrap();
-        assert_eq!(dump.records.len(), 4);
-        // ascending global seq despite living in different rings
-        let seqs: Vec<u64> = dump.records.iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![1, 2, 3, 4]);
-        let traces: Vec<u64> = dump.records.iter().map(|r| r.trace_id).collect();
-        assert_eq!(traces, vec![41, 42, 43, 44]);
-        assert_eq!(dump.evicted, 0);
-        // evictions sum across rings
-        for i in 0..6u64 {
-            a.record(rec(50 + i, 10));
-            b.record(rec(60 + i, 10));
-        }
-        let dump = parse_dump(&merged_dump(&[&a, &b])).unwrap();
-        assert_eq!(dump.records.len(), 8);
-        assert_eq!(dump.evicted, 8);
     }
 
     #[test]

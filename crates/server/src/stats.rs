@@ -11,7 +11,7 @@
 
 use crate::flight::OutcomeClass;
 use crate::protocol::StatsSnapshot;
-use sekitei_obs::{Counter, Gauge, Histogram, MetricView, MetricsRegistry};
+use sekitei_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::fmt;
 use std::sync::Arc;
 
@@ -203,50 +203,6 @@ impl ServerStats {
             class_error: self.class_error.get(),
         }
     }
-
-    /// Aggregate per-shard stats into one snapshot: counters sum,
-    /// histograms merge exactly (`Histogram::merge` adds bucket counts),
-    /// and percentiles are derived from the merged populations — the
-    /// result is identical to what a single global `ServerStats` would
-    /// have reported for the same traffic.
-    pub fn merged_snapshot(shards: &[Arc<ServerStats>]) -> StatsSnapshot {
-        let merged = ServerStats::default();
-        for s in shards {
-            merged.served.add(s.served.get());
-            merged.cache_hits.add(s.cache_hits.get());
-            merged.task_cache_hits.add(s.task_cache_hits.get());
-            merged.cache_misses.add(s.cache_misses.get());
-            merged.degraded.add(s.degraded.get());
-            merged.coalesced.add(s.coalesced.get());
-            merged.rejected.add(s.rejected.get());
-            merged.queue_shed.add(s.queue_shed.get());
-            merged.class_exact.add(s.class_exact.get());
-            merged.class_degraded.add(s.class_degraded.get());
-            merged.class_cached.add(s.class_cached.get());
-            merged.class_budget_exhausted.add(s.class_budget_exhausted.get());
-            merged.class_deadline_hit.add(s.class_deadline_hit.get());
-            merged.class_error.add(s.class_error.get());
-            merged.latency_us.merge(&s.latency_us);
-            merged.queue_wait_us.merge(&s.queue_wait_us);
-        }
-        merged.snapshot()
-    }
-
-    /// Aggregate per-shard registries into one scrape-ready registry:
-    /// same-named counters sum, gauges sum (queue depth across shards is
-    /// the total backlog), histograms merge. Walks each source registry
-    /// under its own lock while writing into a fresh one.
-    pub fn merged_registry(shards: &[Arc<ServerStats>]) -> MetricsRegistry {
-        let out = MetricsRegistry::new();
-        for s in shards {
-            s.registry.for_each(|name, view| match view {
-                MetricView::Counter(v) => out.counter(name).add(v),
-                MetricView::Gauge(v) => out.gauge(name).add(v),
-                MetricView::Histogram(h) => out.histogram(name).merge(h),
-            });
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -377,36 +333,6 @@ mod tests {
         assert_eq!(parsed.counters["queue_shed"], 3);
         assert_eq!(parsed.counters["queue_shed_low"], 2);
         assert_eq!(parsed.counters["queue_shed_normal"], 1);
-    }
-
-    #[test]
-    fn merged_snapshot_equals_single_stats_over_same_traffic() {
-        let a = Arc::new(ServerStats::default());
-        let b = Arc::new(ServerStats::default());
-        let single = ServerStats::default();
-        for (i, target) in [(1u64, &a), (2, &b), (3, &a), (4, &b), (5, &a)] {
-            target.record_served(i * 100);
-            target.record_class(OutcomeClass::Exact);
-            single.record_served(i * 100);
-            single.record_class(OutcomeClass::Exact);
-        }
-        a.record_queue_wait(10);
-        b.record_queue_wait(90);
-        single.record_queue_wait(10);
-        single.record_queue_wait(90);
-        b.record_cache_hit();
-        single.record_cache_hit();
-        let merged = ServerStats::merged_snapshot(&[a.clone(), b.clone()]);
-        assert_eq!(merged, single.snapshot());
-        assert_eq!(merged.served, 5);
-        assert_eq!(merged.cache_hits, 1);
-
-        // the merged registry view agrees with the merged snapshot
-        let reg = ServerStats::merged_registry(&[a, b]);
-        let parsed = sekitei_obs::parse_exposition(&sekitei_obs::expose(&reg)).unwrap();
-        assert_eq!(parsed.counters["served"], 5);
-        assert_eq!(parsed.histograms["latency_us"].count, 5);
-        assert_eq!(parsed.histograms["queue_wait_us"].count, 2);
     }
 
     #[test]
