@@ -570,7 +570,9 @@ impl<'t> Engine<'t> {
         if self.best.is_some() && g >= current {
             return 0; // cannot publish, and the depth gradient has retired
         }
-        let key = tail_hash(tail);
+        // a deterministic key: std hashers are randomly seeded per
+        // process, which would break replayability of the lane's counters
+        let key = sekitei_util::fnv1a_words(tail.iter().map(|a| a.index() as u64));
         if let Some(&d) = self.evaluated.get(&key) {
             return d;
         }
@@ -637,18 +639,6 @@ impl<'t> Engine<'t> {
         cell.store(g.to_bits(), Ordering::Release);
         true
     }
-}
-
-/// Deterministic tail fingerprint for the evaluation cache (std hashers
-/// are randomly seeded per process, which would break replayability of
-/// the lane's counters).
-fn tail_hash(tail: &[ActionId]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &a in tail {
-        h ^= a.index() as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// The step index a concretization failure occurred at.

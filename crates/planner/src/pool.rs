@@ -26,16 +26,6 @@ impl SetId {
     }
 }
 
-/// FNV-1a over the raw proposition ids.
-fn hash_props(props: &[PropId]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for p in props {
-        h ^= p.0 as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Regression merge behind [`SetPool::regress`]: `out = (set \ adds) ∪
 /// {p ∈ preconds : ¬initially(p)}` via a single three-pointer merge over
 /// the three sorted inputs.
@@ -153,7 +143,7 @@ impl SetPool {
     /// Intern a canonical (sorted, deduplicated) slice.
     pub fn intern_sorted(&mut self, props: &[PropId]) -> SetId {
         debug_assert!(props.windows(2).all(|w| w[0] < w[1]), "set must be sorted+deduped");
-        let h = hash_props(props);
+        let h = sekitei_util::fnv1a_words(props.iter().map(|p| u64::from(p.0)));
         if let Some(cands) = self.table.get(&h) {
             for &id in cands {
                 let (s, e) = self.spans[id.index()];

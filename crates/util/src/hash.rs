@@ -1,11 +1,11 @@
 //! FNV-1a 64-bit hashing for deterministic content keys.
 //!
 //! Server cache keys, `SKS1` snapshot checksums, compiled-task
-//! fingerprints and the symmetry pass's action fingerprints all persist
-//! or compare these values, so they must not vary across runs, processes
-//! or platforms — which rules out `std`'s randomly keyed `SipHash`. The
-//! methods are `#[inline]` so the per-byte loop inlines into callers in
-//! other crates (the symmetry pass runs it over every ground action).
+//! fingerprints, the search's set interning and the symmetry pass all
+//! persist or compare these values, so they must not vary across runs,
+//! processes or platforms — which rules out `std`'s randomly keyed
+//! `SipHash`. Everything is `#[inline]` so the loops inline into callers
+//! in other crates (the symmetry pass hashes every ground action).
 
 const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -68,6 +68,16 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
+/// Word-wise FNV-1a: one xor-multiply per 64-bit word instead of per
+/// byte. Eight times fewer steps than [`fnv1a`] over the same words, for
+/// hot-path keys over id sequences (interned proposition sets, anytime
+/// tails, the symmetry pass's action encodings). It is a different hash
+/// from [`fnv1a`] of the words' bytes.
+#[inline]
+pub fn fnv1a_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(OFFSET_BASIS, |h, w| (h ^ w).wrapping_mul(PRIME))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,6 +88,15 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn word_reference_vectors() {
+        assert_eq!(fnv1a_words([]), 0xcbf2_9ce4_8422_2325);
+        // a word below 256 steps exactly like the byte it equals
+        assert_eq!(fnv1a_words([u64::from(b'a')]), fnv1a(b"a"));
+        assert_eq!(fnv1a_words([1, 2, 3]), 0xd0aa_6218_672c_f5ab);
+        assert_eq!(fnv1a_words([u64::MAX]), 0x509c_41b3_79fe_466e);
     }
 
     #[test]
