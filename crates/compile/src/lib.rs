@@ -13,7 +13,7 @@ pub mod symmetry;
 pub mod task;
 
 pub use ground::{compile, CompileError};
-pub use symmetry::{node_orbits, signature_classes, NodeOrbits};
+pub use symmetry::NodeOrbits;
 pub use task::{
     AchieverIndex, ActionKind, CompileStats, GVarData, GroundAction, PlanningTask, PropData,
 };

@@ -216,9 +216,8 @@ pub struct PlanningTask {
     /// placement representative per orbit. Derived data — excluded from
     /// [`PlanningTask::fingerprint`].
     pub orbits: crate::symmetry::NodeOrbits,
-    /// Unverified signature-level node classes (see
-    /// [`crate::symmetry::signature_classes`]); the search's lossy drain
-    /// mode coarsens its symmetry rule to these. Derived data — excluded
+    /// Unverified signature-level node classes (see [`crate::symmetry`]);
+    /// the search's lossy drain mode coarsens its symmetry rule to these. Derived data — excluded
     /// from [`PlanningTask::fingerprint`].
     pub sig_classes: crate::symmetry::NodeOrbits,
     /// Compilation statistics.
