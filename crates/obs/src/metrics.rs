@@ -69,10 +69,6 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
